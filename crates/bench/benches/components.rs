@@ -164,7 +164,7 @@ fn bench_fabric(c: &mut Criterion) {
     g.bench_function("send_recv_4k", |bench| {
         bench.iter(|| {
             a.send(b_ep.id(), SimTime::ZERO, 4096, MsgClass::Data, 1).expect("send");
-            std::hint::black_box(b_ep.recv().expect("recv"))
+            std::hint::black_box(b_ep.try_recv().expect("recv"))
         })
     });
     g.finish();

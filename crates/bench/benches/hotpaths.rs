@@ -1,7 +1,8 @@
 //! Criterion benches for the simulator's own hot paths — the code the
 //! host-side profiler (`samhita-prof`) attributes wall time to: regc
 //! diffing, `UpdateBatch` apply at a memory server, one deterministic
-//! scheduler step, the det-endpoint staged receive (heap pop), trace-event
+//! scheduler step and one coroutine switch, the staged receive (heap pop),
+//! trace-event
 //! emission, and span-graph/critical-path construction. An end-to-end
 //! jacobi pair (tracing on vs off) sits at the bottom so the
 //! tracing-disabled fast path shows up as a whole-run ns-per-event number,
@@ -77,9 +78,11 @@ fn bench_batch_apply(c: &mut Criterion) {
 }
 
 /// One deterministic scheduler step: a Running task yields to a future
-/// instant and — being the only Ready task — re-grants itself. The pick
-/// scan is the cost under measurement; the parked variant scans a realistic
-/// task table.
+/// instant and — being the only Ready task — re-grants itself, so no switch
+/// happens; the 64-task variant carries a realistic task table. Then one
+/// coroutine round trip: the host wakes a parked coroutine and yields to
+/// it, the coroutine parks again, and the baton comes back — two picks and
+/// two context switches per iteration.
 fn bench_sched_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpaths/sched");
     g.bench_function("step_self_regrant_1_task", |b| {
@@ -101,17 +104,40 @@ fn bench_sched_step(c: &mut Criterion) {
             std::hint::black_box(task.yield_until(t))
         });
     });
+    g.bench_function("coroutine_switch", |b| {
+        let sched = Scheduler::new(7);
+        let host = sched.register_running();
+        let task = sched.register_parked();
+        let co = task.spawn(|| {
+            let me = Scheduler::current().expect("a coroutine runs as its task");
+            // Park until woken at u64::MAX, the signal to finish.
+            while me.park() != u64::MAX {}
+        });
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 2;
+            task.wake_at(t);
+            std::hint::black_box(host.yield_until(t + 1))
+        });
+        task.wake_at(u64::MAX);
+        host.suspend();
+        host.resume();
+        co.join().expect("finished").expect("no panic");
+    });
     g.finish();
 }
 
 /// Deterministic endpoint receive: drain the physical channel into the
-/// per-sender-monotone heap, then pop in effective-time order.
+/// per-sender-monotone heap, then pop in effective-time order. The receiver
+/// is the only task, so each finality wait is a self-regrant.
 fn bench_det_recv(c: &mut Criterion) {
     use samhita_scl::{Fabric, MsgClass, NodeId, Topology};
     let mut g = c.benchmark_group("hotpaths/det_recv");
     let topo = Topology::cluster(2, samhita_scl::profiles::ib_qdr());
     let fabric = Fabric::<u64>::new(topo);
     let dst = fabric.add_endpoint(NodeId(1));
+    let sched = Scheduler::new(7);
+    dst.bind_task(&sched.register_running());
     let srcs: Vec<_> = (0..4).map(|_| fabric.add_endpoint(NodeId(0))).collect();
     g.bench_function("stage_and_pop_64", |b| {
         b.iter(|| {

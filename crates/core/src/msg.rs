@@ -7,6 +7,7 @@
 //! eviction acks) and still be matched.
 
 use std::fmt;
+use std::sync::Arc;
 
 use samhita_mem::{MemRequest, MemResponse};
 use samhita_regc::{FineUpdate, WriteNotice};
@@ -148,9 +149,9 @@ pub enum MgrResponse {
     SyncId(u32),
     /// Lock granted (also used for condvar wake-ups, which re-grant the
     /// lock): unseen write notices plus the new watermark.
-    Granted { notices: Vec<WriteNotice>, watermark: u64 },
+    Granted { notices: Vec<Arc<WriteNotice>>, watermark: u64 },
     /// Barrier released: unseen write notices plus the new watermark.
-    BarrierReleased { notices: Vec<WriteNotice>, watermark: u64 },
+    BarrierReleased { notices: Vec<Arc<WriteNotice>>, watermark: u64 },
     /// Request failed.
     Err(MgrError),
 }
@@ -286,7 +287,7 @@ impl MgrResponse {
             MgrResponse::Addr(_) => 16,
             MgrResponse::Granted { notices, watermark: _ }
             | MgrResponse::BarrierReleased { notices, watermark: _ } => {
-                16 + notices.iter().map(WriteNotice::wire_bytes).sum::<usize>()
+                16 + notices.iter().map(|n| n.wire_bytes()).sum::<usize>()
             }
             MgrResponse::Err(_) => 16,
         }
@@ -326,7 +327,12 @@ mod tests {
     fn responses_charge_for_notices() {
         let empty = MgrResponse::Granted { notices: vec![], watermark: 0 };
         let loaded = MgrResponse::Granted {
-            notices: vec![WriteNotice { seq: 1, writer: 0, pages: vec![1, 2, 3], updates: vec![] }],
+            notices: vec![Arc::new(WriteNotice {
+                seq: 1,
+                writer: 0,
+                pages: vec![1, 2, 3],
+                updates: vec![],
+            })],
             watermark: 1,
         };
         assert_eq!(loaded.wire_bytes() - empty.wire_bytes(), 16 + 24);

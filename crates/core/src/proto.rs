@@ -57,10 +57,9 @@ pub struct Channel {
     /// against the primary re-homes all manager traffic here instead of
     /// panicking.
     standby_ep: Option<EndpointId>,
-    /// Grant-liveness probe period (virtual ns), armed only with a standby
-    /// under the deterministic runtime. A *deferred* request (queued
-    /// acquire, barrier arrival, condition wait) is answered much later
-    /// than it is served, so a crash can destroy the only record of it:
+    /// Grant-liveness probe period (virtual ns), armed only with a standby.
+    /// A *deferred* request (queued acquire, barrier arrival, condition
+    /// wait) is answered much later than it is served, so a crash can destroy the only record of it:
     /// the request reached the primary, but the log ship of its serve died
     /// with the crash, and no response will ever come. A blocked client
     /// therefore re-sends its (idempotent, same-token) request every probe

@@ -1,12 +1,15 @@
 //! System bring-up, the service event loops, and the host control client.
 //!
-//! A [`Samhita`] instance spawns one OS thread per memory server and one for
-//! the manager, all joined by an SCL fabric built from the configured
-//! topology. The host (the code that owns the `Samhita` value) interacts
-//! through a control client: it can allocate global memory, create
-//! synchronization objects, and initialize / inspect global memory outside
-//! of timed runs. [`Samhita::run`] then spawns compute threads, hands each a
-//! [`ThreadCtx`], and collects a [`RunReport`].
+//! A [`Samhita`] instance runs one scheduler task per memory server and one
+//! for the manager (plus one for an optional hot standby), all joined by an
+//! SCL fabric built from the configured topology. Every task is a coroutine
+//! on the host thread that created the system (see `samhita-sched`), so the
+//! system must be driven and dropped on that thread. The host (the code
+//! that owns the `Samhita` value) interacts through a control client: it can
+//! allocate global memory, create synchronization objects, and initialize /
+//! inspect global memory outside of timed runs. [`Samhita::run`] then runs
+//! one compute task per simulated thread, hands each a [`ThreadCtx`], and
+//! collects a [`RunReport`].
 //!
 //! For timing experiments, create a fresh instance per measured run: virtual
 //! service clocks (manager, memory servers) advance monotonically across
@@ -16,17 +19,17 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 use samhita_mem::{HomeMap, MemRequest, MemResponse, MemoryServer, PageId, ServerStats};
 use samhita_regc::UpdatePart;
-use samhita_sched::{Scheduler, TaskRef};
+use samhita_sched::{Coroutine, Scheduler, TaskRef};
 use samhita_scl::{DepthGauge, Endpoint, EndpointId, Fabric, MsgClass, QueueSample, SimTime};
 use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{RuntimeKind, SamhitaConfig};
+use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
 use crate::localsync::LocalSync;
 use crate::manager::{ManagerEngine, ManagerStats};
@@ -132,9 +135,9 @@ pub struct Samhita {
     mem_eps: Vec<EndpointId>,
     local_sync: Option<Arc<LocalSync>>,
     ctl: Mutex<HostChannel>,
-    mgr_handle: Option<JoinHandle<ManagerStats>>,
-    standby_handle: Option<JoinHandle<ManagerStats>>,
-    mem_handles: Vec<JoinHandle<ServerStats>>,
+    mgr_handle: Option<Coroutine<ManagerStats>>,
+    standby_handle: Option<Coroutine<ManagerStats>>,
+    mem_handles: Vec<Coroutine<ServerStats>>,
     /// Crash-recovery counter mirrors (see [`RecoveryMirror`]).
     recovery: Arc<RecoveryMirror>,
     tracer: Option<Arc<Tracer>>,
@@ -153,13 +156,14 @@ pub struct Samhita {
     mem_queues: Vec<Arc<Mutex<QueueMirror>>>,
     mgr_gauge: Arc<DepthGauge>,
     mem_gauges: Vec<Arc<DepthGauge>>,
-    // Deterministic runtime (RuntimeKind::Det): the scheduler serializing
-    // every simulated thread, and the host's own task. The host holds the
-    // baton whenever it is between runs; `run` suspends it while compute
-    // tasks execute and resumes (draining all pending service work) before
-    // reading any results.
-    sched: Option<Arc<Scheduler>>,
-    host_task: Option<TaskRef>,
+    // The scheduler serializing every simulated task, and the host's own
+    // task. The host holds the baton whenever it is between runs; `run`
+    // hands it to the compute tasks and takes it back (after all pending
+    // service work drained) before reading any results.
+    sched: Arc<Scheduler>,
+    host_task: TaskRef,
+    /// The thread that created the system: its coroutines run only there.
+    owner: ThreadId,
 }
 
 impl Samhita {
@@ -204,20 +208,18 @@ impl Samhita {
             })));
         }
 
-        // Deterministic runtime: one scheduler per system, the host
-        // registered as the task initially holding the baton. Every service
-        // endpoint is bound to a (parked) scheduler task before its loop
-        // spawns, so all receives follow the virtual-time-ordered discipline.
-        let sched = (cfg.runtime == RuntimeKind::Det).then(|| Scheduler::new(cfg.sched_seed));
-        let host_task = sched.as_ref().map(|s| s.register_running());
+        // One scheduler per system, the host registered as the task
+        // initially holding the baton. Every service endpoint is bound to a
+        // (parked) scheduler task before its loop is spawned on it, so all
+        // receives follow the virtual-time-ordered discipline.
+        let sched = Scheduler::new(cfg.sched_seed);
+        let host_task = sched.register_running();
 
         // Host control endpoint, created first so the service loops know it:
         // the host control plane models the experimenter's out-of-band access
         // and is exempt from fault injection (replies to it go reliably).
         let ctl_endpoint = fabric.add_endpoint(placement.manager);
-        if let Some(host) = &host_task {
-            ctl_endpoint.bind_task(host);
-        }
+        ctl_endpoint.bind_task(&host_task);
         let ctl_id = ctl_endpoint.id();
         let faults_active = cfg.faults.is_active();
         // Server-side replay protection. Duplicates reach the servers from
@@ -239,9 +241,8 @@ impl Samhita {
         for i in 0..cfg.mem_servers {
             let ep = fabric.add_endpoint(placement.mem_servers[i as usize]);
             mem_eps.push(ep.id());
-            if let Some(s) = &sched {
-                ep.bind_task(&s.register_parked());
-            }
+            let task = sched.register_parked();
+            ep.bind_task(&task);
             let gauge = Arc::new(DepthGauge::new());
             ep.set_depth_gauge(Arc::clone(&gauge));
             mem_gauges.push(gauge);
@@ -251,9 +252,9 @@ impl Samhita {
             mem_busy.push(Arc::clone(&busy));
             let queue = Arc::new(Mutex::new(QueueMirror::default()));
             mem_queues.push(Arc::clone(&queue));
-            mem_handles.push(std::thread::spawn(move || {
-                mem_server_loop(ep, server, track, ctl_id, dedup, busy, queue)
-            }));
+            mem_handles.push(
+                task.spawn(move || mem_server_loop(ep, server, track, ctl_id, dedup, busy, queue)),
+            );
         }
 
         // Manager and (optional) hot-standby endpoints, created before the
@@ -262,20 +263,18 @@ impl Samhita {
         // below, so the plan is still installed before any send it could
         // affect.
         let mgr_endpoint = fabric.add_endpoint(placement.manager);
-        if let Some(s) = &sched {
-            mgr_endpoint.bind_task(&s.register_parked());
-        }
+        let mgr_task = sched.register_parked();
+        mgr_endpoint.bind_task(&mgr_task);
         let mgr_gauge = Arc::new(DepthGauge::new());
         mgr_endpoint.set_depth_gauge(Arc::clone(&mgr_gauge));
         let mgr_ep = mgr_endpoint.id();
         let standby_endpoint = cfg.manager_standby.then(|| {
             let ep = fabric.add_endpoint(placement.standby_node());
-            if let Some(s) = &sched {
-                ep.bind_task(&s.register_parked());
-            }
-            ep
+            let task = sched.register_parked();
+            ep.bind_task(&task);
+            (ep, task)
         });
-        let standby_ep = standby_endpoint.as_ref().map(|ep| ep.id());
+        let standby_ep = standby_endpoint.as_ref().map(|(ep, _)| ep.id());
 
         // Deterministic fault injection: structural faults (crash windows
         // need the crashed endpoint's id) are resolved here, then the plan
@@ -319,7 +318,7 @@ impl Samhita {
         let mgr_recovery = Arc::clone(&recovery);
         let mgr_died_at =
             faults_active.then(|| cfg.faults.mgr_crash.map(SimTime::from_ns)).flatten();
-        let mgr_handle = Some(std::thread::spawn(move || {
+        let mgr_handle = Some(mgr_task.spawn(move || {
             manager_loop(
                 mgr_endpoint,
                 engine,
@@ -333,15 +332,14 @@ impl Samhita {
                 mgr_queue_loop,
             )
         }));
-        let standby_handle = standby_endpoint.map(|ep| {
+        let standby_handle = standby_endpoint.map(|(ep, task)| {
             // The standby folds the same records through the same engine as
             // the primary, starting from the same initial state — the whole
             // replication argument.
             let engine = ManagerEngine::new(&cfg);
             let track = tracer.as_ref().map(|t| t.shared_track(TrackId::MgrStandby));
             let rec = Arc::clone(&recovery);
-            let det = cfg.runtime == RuntimeKind::Det;
-            std::thread::spawn(move || standby_loop(ep, engine, track, ctl_id, det, rec))
+            task.spawn(move || standby_loop(ep, engine, track, ctl_id, rec))
         });
 
         // Host control client (registers like a thread, but never syncs).
@@ -381,7 +379,18 @@ impl Samhita {
             mem_gauges,
             sched,
             host_task,
+            owner: std::thread::current().id(),
         }
+    }
+
+    /// Coroutines never migrate: every call that hands the baton over must
+    /// come from the thread that created the system.
+    fn assert_owner_thread(&self) {
+        assert_eq!(
+            std::thread::current().id(),
+            self.owner,
+            "a Samhita system must be driven and dropped on the thread that created it"
+        );
     }
 
     /// The active configuration.
@@ -554,6 +563,7 @@ impl Samhita {
         F: Fn(&mut ThreadCtx) + Send + Sync,
     {
         assert!(nthreads >= 1, "need at least one compute thread");
+        self.assert_owner_thread();
         assert!(
             nthreads <= self.cfg.max_threads,
             "nthreads {nthreads} exceeds provisioned max_threads {}",
@@ -567,10 +577,10 @@ impl Samhita {
         let mgr_busy_before = self.mgr_busy.load(Ordering::Relaxed);
         let mem_busy_before: Vec<u64> =
             self.mem_busy.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        // Queue-accounting run-start snapshots. The host holds the baton (or,
-        // under the OS runtime, the fabric is quiescent between runs), so the
-        // mirrors are stable: counters are snapshotted for end-of-run deltas,
-        // peaks and sample lists reset so they come out per-run exact.
+        // Queue-accounting run-start snapshots. The host holds the baton, so
+        // the mirrors are stable: counters are snapshotted for end-of-run
+        // deltas, peaks and sample lists reset so they come out per-run
+        // exact.
         let mgr_queue_before = self.mgr_queue.lock().begin_run();
         let mem_queue_before: Vec<(u64, u64, u64)> =
             self.mem_queues.iter().map(|q| q.lock().begin_run()).collect();
@@ -578,7 +588,7 @@ impl Samhita {
         for g in &self.mem_gauges {
             g.reset();
         }
-        let sched_grants_before = self.sched.as_ref().map_or(0, |s| s.grants());
+        let sched_grants_before = self.sched.grants();
         let local_before = self.local_sync.as_ref().map(|ls| ls.stats()).unwrap_or_default();
         let recovery_before = (
             self.recovery.log_records_shipped.load(Ordering::Relaxed),
@@ -589,87 +599,46 @@ impl Samhita {
         let endpoints: Vec<Endpoint<Msg>> = (0..nthreads)
             .map(|t| self.fabric.add_endpoint(self.placement.compute_node(t)))
             .collect();
-        // Deterministic runtime: one scheduler task per compute thread, all
-        // ready at virtual time zero (the seeded tie-break orders their first
-        // steps), each bound to its endpoint before any traffic can target
-        // it. Registration happens host-side, in tid order, so task ids (the
-        // final tie-break key) are reproducible.
-        let det_tasks: Option<Vec<TaskRef>> = self.sched.as_ref().map(|sched| {
-            endpoints
-                .iter()
-                .map(|ep| {
-                    let task = sched.register_ready(0);
-                    ep.bind_task(&task);
-                    task
-                })
-                .collect()
-        });
+        // One scheduler task per compute thread, all ready at virtual time
+        // zero (the seeded tie-break orders their first steps), each bound
+        // to its endpoint before any traffic can target it. Registration
+        // happens in tid order, so task ids (the final tie-break key) are
+        // reproducible.
         let body = &body;
-        let stats = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .enumerate()
-                .map(|(t, ep)| {
-                    let cfg = Arc::clone(&self.cfg);
-                    let mem_eps = self.mem_eps.clone();
-                    let local_sync = self.local_sync.clone();
-                    let mgr_ep = self.mgr_ep;
-                    let standby_ep = self.standby_ep;
-                    let tracer = self.tracer.clone();
-                    let task = det_tasks.as_ref().map(|ts| ts[t].clone());
-                    s.spawn(move || {
-                        if let Some(task) = &task {
-                            task.start();
-                        }
-                        // Catch panics so a failing body still retires its
-                        // scheduler task: otherwise sibling tasks blocked on
-                        // the baton would hang forever instead of unwinding.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut ctx = ThreadCtx::new(
-                                t as u32, nthreads, cfg, ep, mgr_ep, standby_ep, mem_eps,
-                                local_sync,
-                            );
-                            if let Some(tr) = &tracer {
-                                ctx.attach_trace(tr.buf(TrackId::Thread(t as u32)));
-                            }
-                            body(&mut ctx);
-                            ctx.finish()
-                        }));
-                        if let Some(task) = &task {
-                            task.exit();
-                        }
-                        match result {
-                            Ok((stats, buf)) => {
-                                if let (Some(tr), Some(buf)) = (&tracer, buf) {
-                                    tr.submit(buf);
-                                }
-                                stats
-                            }
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                })
-                .collect();
-            // Hand the baton to the compute tasks for the whole run; the
-            // host does not touch the fabric until it resumes below.
-            if let Some(host) = &self.host_task {
-                host.suspend();
-            }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(stats) => stats,
-                    // Re-raise with the original payload so the caller sees
-                    // the real panic message, not a generic join error.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        // Re-acquire the baton, draining every pending service event (oneway
-        // releases, late acks) so the busy mirrors below are final.
-        if let Some(host) = &self.host_task {
-            host.resume();
-        }
+        let jobs: Vec<_> = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(t, ep)| {
+                let task = self.sched.register_ready(0);
+                ep.bind_task(&task);
+                let cfg = Arc::clone(&self.cfg);
+                let mem_eps = self.mem_eps.clone();
+                let local_sync = self.local_sync.clone();
+                let (mgr_ep, standby_ep) = (self.mgr_ep, self.standby_ep);
+                let tracer = self.tracer.clone();
+                let job = move || {
+                    let mut ctx = ThreadCtx::new(
+                        t as u32, nthreads, cfg, ep, mgr_ep, standby_ep, mem_eps, local_sync,
+                    );
+                    if let Some(tr) = &tracer {
+                        ctx.attach_trace(tr.buf(TrackId::Thread(t as u32)));
+                    }
+                    body(&mut ctx);
+                    let (stats, buf) = ctx.finish();
+                    if let (Some(tr), Some(buf)) = (&tracer, buf) {
+                        tr.submit(buf);
+                    }
+                    stats
+                };
+                (task, job)
+            })
+            .collect();
+        // Hand the baton to the compute tasks for the whole run. It comes
+        // back once nothing can run any more: every pending service event
+        // (oneway releases, late acks) has drained, so the busy mirrors
+        // below are final.
+        let outcomes = self.host_task.drive(jobs);
+        let stats = self.collect(outcomes);
         let mut report = RunReport::new(stats, self.fabric.stats().delta(&fabric_before));
         // Every thread settled its outstanding traffic before joining
         // (synchronous Exit RPC to the manager, ack/prefetch drains to the
@@ -701,7 +670,7 @@ impl Samhita {
         }
         report.mgr_endpoint_backlog_peak = self.mgr_gauge.peak();
         report.server_endpoint_backlog_peak = self.mem_gauges.iter().map(|g| g.peak()).collect();
-        report.sched_grants = self.sched.as_ref().map_or(0, |s| s.grants()) - sched_grants_before;
+        report.sched_grants = self.sched.grants() - sched_grants_before;
         if let Some(ls) = &self.local_sync {
             let st = ls.stats();
             report.local_contended_acquires =
@@ -740,17 +709,44 @@ impl Samhita {
         self.shutdown_inner()
     }
 
-    fn shutdown_inner(&mut self) -> SystemStats {
-        let mut stats = SystemStats::default();
-        // If a compute body panicked mid-run the host may still be
-        // suspended; re-acquire the baton first (idempotent when already
-        // running) so the shutdown sends happen from a Running task.
-        if let Some(host) = &self.host_task {
-            host.resume();
+    /// The compute tasks' statistics, in tid order. Re-raises the first
+    /// compute panic with its original payload; a task that never finished
+    /// means the run deadlocked.
+    fn collect(
+        &self,
+        outcomes: Vec<Option<std::thread::Result<crate::stats::ThreadStats>>>,
+    ) -> Vec<crate::stats::ThreadStats> {
+        let blocked = outcomes.iter().filter(|o| o.is_none()).count();
+        let mut stats = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes.into_iter().flatten() {
+            match outcome {
+                Ok(s) => stats.push(s),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
+        if blocked > 0 {
+            // A service loop only returns on its shutdown message, so one
+            // that finished mid-run panicked (its message is already on
+            // stderr; shutdown reports it again).
+            let dead = self.mem_handles.iter().any(Coroutine::is_finished)
+                || self.mgr_handle.as_ref().is_some_and(Coroutine::is_finished)
+                || self.standby_handle.as_ref().is_some_and(Coroutine::is_finished);
+            let why = if dead { "a service task panicked" } else { "every task is blocked" };
+            panic!("simulated deadlock: {blocked} compute tasks never finished ({why})");
+        }
+        stats
+    }
+
+    fn shutdown_inner(&mut self) -> SystemStats {
+        self.assert_owner_thread();
+        let mut stats = SystemStats::default();
+        // If a compute body panicked mid-run the baton may be elsewhere;
+        // re-acquire it first (idempotent when already running) so the
+        // shutdown sends happen from a Running task.
+        self.host_task.resume();
         {
             // Reliable sends: a crashed (or partitioned) server must still
-            // receive its shutdown message, or the join below would hang.
+            // receive its shutdown message, or its loop would never return.
             let ctl = self.ctl.lock();
             for &ep in &self.mem_eps {
                 ctl.send_shutdown(ep);
@@ -761,29 +757,38 @@ impl Samhita {
             }
         }
         // Hand the baton over so the service tasks can run their loops to
-        // the shutdown message and retire; take it back once they joined.
-        if let Some(host) = &self.host_task {
-            host.suspend();
-        }
+        // the shutdown message and retire; take it back once they finished.
+        self.host_task.suspend();
+        self.host_task.resume();
         for h in self.mem_handles.drain(..) {
-            stats.servers.push(h.join().expect("memory server panicked"));
+            stats.servers.push(join_service(h, "memory server"));
         }
         if let Some(h) = self.mgr_handle.take() {
-            stats.manager = h.join().expect("manager panicked");
+            stats.manager = join_service(h, "manager");
         }
         if let Some(h) = self.standby_handle.take() {
-            stats.standby = Some(h.join().expect("standby manager panicked"));
-        }
-        if let Some(host) = &self.host_task {
-            host.resume();
+            stats.standby = Some(join_service(h, "standby manager"));
         }
         stats
     }
 }
 
+/// A service loop's final statistics, once it returned on its shutdown
+/// message.
+fn join_service<T: Send>(h: Coroutine<T>, what: &str) -> T {
+    match h.join() {
+        Some(Ok(stats)) => stats,
+        Some(Err(_)) => panic!("{what} panicked"),
+        None => panic!("{what} never reached its shutdown message"),
+    }
+}
+
 impl Drop for Samhita {
     fn drop(&mut self) {
-        if self.mgr_handle.is_some() {
+        // While unwinding (a run re-raised a task's panic) a second panic
+        // would abort, so the service tasks are left unjoined instead:
+        // dropping their handles retires them for good.
+        if self.mgr_handle.is_some() && !std::thread::panicking() {
             let _ = self.shutdown_inner();
         }
     }
@@ -913,9 +918,6 @@ fn mem_server_loop(
             other => panic!("memory server received unexpected message: {other:?}"),
         }
     }
-    // Retire this loop's scheduler task (no-op on unbound endpoints) so the
-    // deterministic scheduler never waits on a loop that has returned.
-    ep.exit_task();
     server.stats()
 }
 
@@ -1044,7 +1046,6 @@ fn manager_loop(
             other => panic!("manager received unexpected message: {other:?}"),
         }
     }
-    ep.exit_task();
     let mut stats = engine.stats();
     stats.log_records_shipped = shipped;
     stats
@@ -1069,16 +1070,14 @@ fn manager_loop(
 /// sleeps only until the earliest lock-lease expiry; waking at that virtual
 /// deadline with no message, it folds a `ReclaimExpired` sweep into the log
 /// so a lock whose holder (or whose release) died with the primary is handed
-/// to the next waiter instead of blocking the run forever. The sweep is
-/// deterministic-runtime only (`det`): leases expire in virtual time, and
-/// only a scheduler-bound endpoint can observe "virtual time reached the
-/// expiry" — see the `deadline` computation below.
+/// to the next waiter instead of blocking the run forever. Leases expire in
+/// virtual time, which the scheduler-bound endpoint's `recv_deadline`
+/// observes exactly.
 fn standby_loop(
     ep: Endpoint<Msg>,
     mut engine: ManagerEngine,
     track: Option<SharedTrack>,
     ctl: EndpointId,
-    det: bool,
     recovery: Arc<RecoveryMirror>,
 ) -> ManagerStats {
     let mut hwm: HashMap<EndpointId, u64> = HashMap::new();
@@ -1088,12 +1087,7 @@ fn standby_loop(
     loop {
         // An active standby sleeps only until the earliest lease expiry:
         // reaching the deadline with no message triggers a reclaim sweep.
-        // Deterministic runtime only: on an unbound (OS-runtime) endpoint
-        // `recv_deadline` degrades to a ~1ms wall-clock poll whose `Ok(None)`
-        // means "nothing yet", not "virtual time reached the expiry" —
-        // sweeping there would depose live holders on wall-clock cadence.
-        // Mirrors the probe gating in `ThreadCtx::new`.
-        let deadline = if active && det { engine.next_lease_expiry() } else { None };
+        let deadline = if active { engine.next_lease_expiry() } else { None };
         let env = match deadline {
             Some(at) => match ep.recv_deadline(at) {
                 Ok(Some(env)) => env,
@@ -1214,7 +1208,6 @@ fn standby_loop(
             other => panic!("standby manager received unexpected message: {other:?}"),
         }
     }
-    ep.exit_task();
     engine.stats()
 }
 

@@ -34,8 +34,8 @@
 //! Phase timers are *inclusive*: if phase B runs inside phase A's guard, the
 //! span counts toward both. The instrumented phases are chosen not to nest
 //! in practice (scheduler step, diffing, batch apply, channel send/recv,
-//! trace emit, span-graph build), so the per-phase table reads as a flat
-//! breakdown.
+//! trace emit, span-graph build, context switch), so the per-phase table
+//! reads as a flat breakdown.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -60,14 +60,17 @@ pub enum Phase {
     TraceEvent = 6,
     /// Span-graph and critical-path construction from a finished trace.
     SpanGraph = 7,
+    /// One scheduler context switch, from the yielding task's switch-out to
+    /// the grantee's switch-in.
+    Handoff = 8,
 }
 
 /// Number of counter slots: one per phase plus the `other` bucket at 0.
-const NUM_SLOTS: usize = 8;
+const NUM_SLOTS: usize = 9;
 
 impl Phase {
     /// All phases, in slot order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 8] = [
         Phase::SchedStep,
         Phase::RegcDiff,
         Phase::BatchApply,
@@ -75,6 +78,7 @@ impl Phase {
         Phase::ChannelRecv,
         Phase::TraceEvent,
         Phase::SpanGraph,
+        Phase::Handoff,
     ];
 
     /// Stable snake_case label, used in JSON and summary tables.
@@ -87,6 +91,7 @@ impl Phase {
             Phase::ChannelRecv => "channel_recv",
             Phase::TraceEvent => "trace_event",
             Phase::SpanGraph => "span_graph",
+            Phase::Handoff => "handoff",
         }
     }
 
@@ -155,6 +160,31 @@ pub fn enter(phase: Phase) -> PhaseGuard {
     PhaseGuard { start: Some(Instant::now()), slot, prev }
 }
 
+/// Add the span from `start` to now to `phase`, as one call. For spans no
+/// single scope can hold, such as a context switch, which starts in one
+/// task and ends in another. A no-op while profiling is disabled.
+pub fn record(phase: Phase, start: Instant) {
+    if ENABLED.load(Relaxed) {
+        add_span(phase as u8, start);
+    }
+}
+
+/// Book one call of `slot` lasting from `start` to now.
+fn add_span(slot: u8, start: Instant) {
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let slot = &SLOTS[slot as usize];
+    slot.wall_ns.fetch_add(ns, Relaxed);
+    slot.calls.fetch_add(1, Relaxed);
+}
+
+/// Replace the calling context's active-phase marker (0 while no enabled
+/// guard is live) and return the old one. A coroutine scheduler swaps it at
+/// every context switch, because the marker is a thread-local and several
+/// simulated tasks share one thread.
+pub fn swap_active(marker: u8) -> u8 {
+    CURRENT.with(|c| c.replace(marker))
+}
+
 /// RAII scope for one phase; see [`enter`].
 #[must_use = "a PhaseGuard records its span when dropped"]
 pub struct PhaseGuard {
@@ -167,11 +197,8 @@ impl Drop for PhaseGuard {
     #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             CURRENT.with(|c| c.set(self.prev));
-            let slot = &SLOTS[self.slot as usize];
-            slot.wall_ns.fetch_add(ns, Relaxed);
-            slot.calls.fetch_add(1, Relaxed);
+            add_span(self.slot, start);
         }
     }
 }

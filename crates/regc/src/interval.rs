@@ -7,6 +7,12 @@
 //! has not yet seen and invalidates its cached copies of pages written by
 //! *other* threads. Per-thread high-water marks allow the log to be
 //! truncated once every registered thread has seen a prefix.
+//!
+//! The log keeps each notice behind an [`Arc`]: a barrier release hands the
+//! same unseen suffix to every waiter, and sharing it costs one reference
+//! count per notice instead of a deep copy of its pages and update bytes.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +65,7 @@ impl WriteNotice {
 /// The manager's global log of write notices.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalLog {
-    records: Vec<WriteNotice>,
+    records: Vec<Arc<WriteNotice>>,
     /// Sequence number of the first retained record minus one (records with
     /// `seq <= base_seq` have been truncated).
     base_seq: u64,
@@ -80,16 +86,17 @@ impl IntervalLog {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.records.push(WriteNotice { seq, writer, pages, updates });
+        self.records.push(Arc::new(WriteNotice { seq, writer, pages, updates }));
         seq
     }
 
-    /// All notices with `seq > last_seen`, in publication order.
+    /// All notices with `seq > last_seen`, in publication order, shared
+    /// with the log.
     ///
     /// # Panics
     /// Panics if `last_seen` falls before the truncation point — the caller
     /// would silently miss notices, which is a protocol bug.
-    pub fn since(&self, last_seen: u64) -> Vec<WriteNotice> {
+    pub fn since(&self, last_seen: u64) -> Vec<Arc<WriteNotice>> {
         assert!(
             last_seen >= self.base_seq,
             "notices before seq {} were truncated (asked for > {})",

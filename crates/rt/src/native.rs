@@ -1,7 +1,9 @@
 //! The "pthreads" baseline backend.
 //!
-//! Real OS threads over plain shared memory, standing in for the paper's
-//! Pthreads runs on a cache-coherent node. Two fidelity decisions:
+//! Compute threads over plain shared memory, standing in for the paper's
+//! Pthreads runs on a cache-coherent node. Like the DSM backend's, each
+//! thread is a scheduler coroutine on the calling host thread, interleaved
+//! in virtual time. Two fidelity decisions:
 //!
 //! * **Compute costs are identical to Samhita's** (same `flop_ns`,
 //!   `mem_op_ns`): on a hardware-coherent node a cached load costs the same
@@ -22,7 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use samhita_core::localsync::LocalSync;
-use samhita_core::{RunReport, RuntimeKind, ThreadStats};
+use samhita_core::{RunReport, ThreadStats};
 use samhita_sched::Scheduler;
 use samhita_scl::{FabricStatsSnapshot, SimTime};
 use samhita_trace::LatencyHistogram;
@@ -61,8 +63,6 @@ impl NativeCosts {
 /// The native backend.
 pub struct NativeRt {
     costs: NativeCosts,
-    runtime: RuntimeKind,
-    sched_seed: u64,
     arrays: RwLock<Vec<Arc<Vec<AtomicU64>>>>,
     locks: LocalSync,
     barriers: LocalSync,
@@ -75,19 +75,10 @@ impl Default for NativeRt {
 }
 
 impl NativeRt {
-    /// A backend with the given cost constants, running under the
-    /// deterministic virtual-time scheduler (the default, matching
-    /// [`samhita_core::SamhitaConfig`]).
+    /// A backend with the given cost constants.
     pub fn new(costs: NativeCosts) -> Self {
-        NativeRt::with_runtime(costs, RuntimeKind::Det, 0)
-    }
-
-    /// A backend with an explicit runtime kind and scheduler tie-break seed.
-    pub fn with_runtime(costs: NativeCosts, runtime: RuntimeKind, sched_seed: u64) -> Self {
         NativeRt {
             costs,
-            runtime,
-            sched_seed,
             arrays: RwLock::new(Vec::new()),
             locks: LocalSync::new(costs.mutex_ns),
             barriers: LocalSync::new(costs.barrier_ns),
@@ -136,74 +127,53 @@ impl KernelRt for NativeRt {
 
     fn run(&self, nthreads: u32, body: &(dyn Fn(&mut dyn KernelCtx) + Sync)) -> RunReport {
         assert!(nthreads >= 1);
-        // Deterministic mode: a fresh per-run scheduler; the host holds the
-        // baton while spawning so every compute task is registered (in tid
-        // order) before any of them runs, then parks for the joins. The
-        // LocalSync lock/barrier blocking points pick up the scheduler
+        // A fresh per-run scheduler, its compute tasks registered in tid
+        // order. The LocalSync lock/barrier blocking points find each task
         // through `Scheduler::current()`.
-        let sched = (self.runtime == RuntimeKind::Det).then(|| Scheduler::new(self.sched_seed));
-        let host = sched.as_ref().map(|s| s.register_running());
-        let stats = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|tid| {
-                    let task = sched.as_ref().map(|sched| sched.register_ready(0));
-                    s.spawn(move || {
-                        if let Some(task) = &task {
-                            task.start();
-                        }
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut ctx = NativeCtx {
-                                rt: self,
-                                tid,
-                                nthreads,
-                                clock: SimTime::ZERO,
-                                frac_ns: 0.0,
-                                sync: SimTime::ZERO,
-                                epoch_clock: SimTime::ZERO,
-                                epoch_sync: SimTime::ZERO,
-                                lock_wait: LatencyHistogram::new(),
-                                barrier_wait: LatencyHistogram::new(),
-                            };
-                            body(&mut ctx);
-                            let total = ctx.clock.saturating_sub(ctx.epoch_clock);
-                            let sync = ctx.sync.saturating_sub(ctx.epoch_sync);
-                            ThreadStats {
-                                tid,
-                                total,
-                                sync,
-                                compute: total.saturating_sub(sync),
-                                lock_wait: ctx.lock_wait,
-                                barrier_wait: ctx.barrier_wait,
-                                epoch_ns: ctx.epoch_clock.as_ns(),
-                                end_ns: ctx.clock.as_ns(),
-                                ..ThreadStats::default()
-                            }
-                        }));
-                        if let Some(task) = &task {
-                            task.exit();
-                        }
-                        match result {
-                            Ok(stats) => stats,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                })
-                .collect();
-            if let Some(host) = &host {
-                host.suspend();
-            }
-            let stats = handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(stats) => stats,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>();
-            if let Some(host) = &host {
-                host.resume();
-            }
-            stats
+        let sched = Scheduler::new(0);
+        let host = sched.register_running();
+        let jobs = (0..nthreads).map(|tid| {
+            let task = sched.register_ready(0);
+            (task, move || {
+                let mut ctx = NativeCtx {
+                    rt: self,
+                    tid,
+                    nthreads,
+                    clock: SimTime::ZERO,
+                    frac_ns: 0.0,
+                    sync: SimTime::ZERO,
+                    epoch_clock: SimTime::ZERO,
+                    epoch_sync: SimTime::ZERO,
+                    lock_wait: LatencyHistogram::new(),
+                    barrier_wait: LatencyHistogram::new(),
+                };
+                body(&mut ctx);
+                let total = ctx.clock.saturating_sub(ctx.epoch_clock);
+                let sync = ctx.sync.saturating_sub(ctx.epoch_sync);
+                ThreadStats {
+                    tid,
+                    total,
+                    sync,
+                    compute: total.saturating_sub(sync),
+                    lock_wait: ctx.lock_wait,
+                    barrier_wait: ctx.barrier_wait,
+                    epoch_ns: ctx.epoch_clock.as_ns(),
+                    end_ns: ctx.clock.as_ns(),
+                    ..ThreadStats::default()
+                }
+            })
         });
+        let stats = host
+            .drive(jobs)
+            .into_iter()
+            .map(|outcome| match outcome {
+                Some(Ok(stats)) => stats,
+                // Re-raise with the original payload so the caller sees the
+                // real panic message.
+                Some(Err(payload)) => std::panic::resume_unwind(payload),
+                None => panic!("simulated deadlock: a compute task never finished"),
+            })
+            .collect();
         RunReport::new(stats, FabricStatsSnapshot::default())
     }
 }

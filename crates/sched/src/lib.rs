@@ -1,14 +1,14 @@
 //! Deterministic virtual-time scheduler.
 //!
-//! The simulator's compute and service threads are real OS threads, but
-//! under this scheduler **exactly one of them runs at a time**: every task
-//! is gated by a per-task *baton* (a condvar-protected slot), and the
+//! Every simulated task — compute thread, memory server, manager — runs as
+//! a stackful coroutine driven from the host thread (see [`TaskRef::spawn`]
+//! and [`TaskRef::drive`]), and **exactly one task runs at a time**. The
 //! scheduler hands the baton to the unique task with the globally minimal
-//! `(virtual_time, tie_break, task_id)` key among those ready to run. The
-//! tie-break is a seeded `splitmix64` hash of the task id, so ties at equal
-//! virtual time resolve the same way in every run with the same seed —
-//! and differently across seeds, which is what makes schedule-sensitivity
-//! testable.
+//! `(virtual_time, tie_break, task_id)` key among those ready to run, and a
+//! grant is a user-space context switch. The tie-break is a seeded
+//! `splitmix64` hash of the task id, so ties at equal virtual time resolve
+//! the same way in every run with the same seed — and differently across
+//! seeds, which is what makes schedule-sensitivity testable.
 //!
 //! This is a *conservative* discrete-event design: a task yields with a
 //! candidate virtual time (the earliest instant at which it could next
@@ -20,19 +20,25 @@
 //! deterministic order is picked, never causality); they must never be
 //! over-estimates.
 //!
-//! Service threads (memory servers, the manager) are born *free-running*:
-//! until their first baton grant they may drain their channels concurrently
-//! with the host's setup sends. Determinism across that window is the
-//! receiver's responsibility (see the deterministic receive path in the
-//! fabric crate, which keys ordering off per-sender-monotone effective
-//! times and channel order, both of which are stable under partial drains).
+//! A task that is not a coroutine blocks its own OS thread while it waits
+//! for the baton; that is how the host task waits on the main stack, and
+//! how tasks started with [`TaskRef::start`] on other OS threads take part.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
-use parking_lot::{Condvar, Mutex};
+#[allow(unsafe_code)]
+mod coro;
+mod ready;
+
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
+
+pub use coro::Coroutine;
+use coro::{hand_off, Baton};
+use ready::ReadyQueue;
 
 /// `splitmix64` — the canonical 64-bit finalizer used to derive a
 /// reproducible per-task tie-break from the scheduler seed.
@@ -41,48 +47,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// The per-task hand-off gate. The slot carries the grant's virtual-time
-/// candidate, so a resuming task learns *when* it was scheduled without a
-/// second rendezvous with the scheduler lock.
-struct Baton {
-    slot: Mutex<Option<u64>>,
-    cv: Condvar,
-}
-
-impl Baton {
-    fn new() -> Self {
-        Baton { slot: Mutex::new(None), cv: Condvar::new() }
-    }
-
-    /// Hand the baton over, carrying the grant's candidate time.
-    fn grant(&self, at: u64) {
-        let mut slot = self.slot.lock();
-        debug_assert!(slot.is_none(), "baton granted twice without an intervening block");
-        *slot = Some(at);
-        self.cv.notify_one();
-    }
-
-    /// Wait for the baton and take it; returns the grant's candidate time.
-    fn block(&self) -> u64 {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(at) = slot.take() {
-                return at;
-            }
-            self.cv.wait(&mut slot);
-        }
-    }
-
-    /// Discard an unconsumed grant. A task can be granted while still
-    /// free-running its birth window (the grant sits in the slot, untaken);
-    /// when that task then re-announces its state (yield/park/suspend/exit)
-    /// the pending grant is stale and must not be mistaken for a fresh one
-    /// by the next `block`.
-    fn clear(&self) {
-        let _ = self.slot.lock().take();
-    }
 }
 
 /// Where a task stands with respect to the baton.
@@ -98,20 +62,91 @@ enum TaskState {
     Done,
 }
 
-struct Task {
-    state: TaskState,
-    /// Seeded tie-break, fixed at registration.
-    tie: u64,
-    baton: Arc<Baton>,
-}
-
-struct Inner {
-    tasks: Vec<Task>,
+/// The pick policy's state: every task's state and tie-break, the Ready
+/// tasks indexed by `(candidate, tie, id)`, and who holds the baton.
+struct Table {
+    states: Vec<TaskState>,
+    ties: Vec<u64>,
+    ready: ReadyQueue,
     /// The task currently holding (or granted) the baton, if any.
     running: Option<usize>,
     /// Baton grants issued so far (picks plus quiescent resume takes).
     /// Observability only: never consulted by the pick policy.
     grants: u64,
+}
+
+impl Table {
+    fn new() -> Self {
+        Table {
+            states: Vec::new(),
+            ties: Vec::new(),
+            ready: ReadyQueue::default(),
+            running: None,
+            grants: 0,
+        }
+    }
+
+    fn push(&mut self, state: TaskState, tie: u64) -> usize {
+        let id = self.states.len();
+        self.states.push(TaskState::Parked);
+        self.ties.push(tie);
+        if state == TaskState::Running {
+            assert!(self.running.is_none(), "two tasks registered Running");
+            self.running = Some(id);
+        }
+        self.set(id, state);
+        id
+    }
+
+    /// Move task `id` to `state`, keeping the ready index in step.
+    fn set(&mut self, id: usize, state: TaskState) {
+        match state {
+            TaskState::Ready(at) => self.ready.upsert(id, (at, self.ties[id])),
+            _ => self.ready.remove(id),
+        }
+        self.states[id] = state;
+    }
+
+    /// Merge a wake-up at `t` into task `id`: Parked becomes Ready(t), Ready
+    /// keeps the earlier candidate, Running and Done ignore it.
+    fn wake(&mut self, id: usize, t: u64) {
+        match self.states[id] {
+            TaskState::Parked => self.set(id, TaskState::Ready(t)),
+            TaskState::Ready(c) if t < c => self.set(id, TaskState::Ready(t)),
+            _ => {}
+        }
+    }
+
+    /// Take the baton from the running task `id`, leaving it in `state`.
+    fn release(&mut self, id: usize, state: TaskState) {
+        assert_eq!(self.running, Some(id), "task {id} gave up a baton it does not hold");
+        self.running = None;
+        self.set(id, state);
+    }
+
+    /// Grant the baton to the Ready task with the minimal
+    /// `(candidate, tie, id)` key, if any; returns it with its candidate.
+    fn pick(&mut self) -> Option<(usize, u64)> {
+        let _prof = samhita_prof::enter(samhita_prof::Phase::SchedStep);
+        debug_assert!(self.running.is_none());
+        let (id, (at, _)) = self.ready.pop()?;
+        self.states[id] = TaskState::Running;
+        self.running = Some(id);
+        self.grants += 1;
+        Some((id, at))
+    }
+}
+
+struct Inner {
+    table: Table,
+    batons: Vec<Arc<Baton>>,
+}
+
+impl Inner {
+    /// The baton of a pick, cloned out so the lock can be released first.
+    fn grantee(&self, pick: Option<(usize, u64)>) -> Option<(Arc<Baton>, u64)> {
+        pick.map(|(id, at)| (self.batons[id].clone(), at))
+    }
 }
 
 /// The deterministic scheduler: a shared registry of tasks plus the single
@@ -130,7 +165,7 @@ impl Scheduler {
     pub fn new(seed: u64) -> Arc<Scheduler> {
         Arc::new(Scheduler {
             seed,
-            inner: Mutex::new(Inner { tasks: Vec::new(), running: None, grants: 0 }),
+            inner: Mutex::new(Inner { table: Table::new(), batons: Vec::new() }),
         })
     }
 
@@ -142,13 +177,12 @@ impl Scheduler {
     /// Total baton grants issued so far — a measure of how often the
     /// machine context-switched in virtual time. Purely observational.
     pub fn grants(&self) -> u64 {
-        self.inner.lock().grants
+        self.inner.lock().table.grants
     }
 
-    /// The task bound to the calling OS thread, if it was started through
-    /// this scheduler family ([`TaskRef::start`] binds, task exit unbinds).
-    /// Plain threads (unit tests, the OS-thread runtime) see `None`, which
-    /// is how dual-mode code keys off the deterministic path.
+    /// The task running in the calling context: a coroutine's own task, or
+    /// the task an OS thread bound with [`TaskRef::start`]. The host's main
+    /// context and plain threads see `None`.
     pub fn current() -> Option<TaskRef> {
         CURRENT.with(|c| c.borrow().clone())
     }
@@ -156,13 +190,9 @@ impl Scheduler {
     fn register(self: &Arc<Self>, state: TaskState) -> TaskRef {
         let baton = Arc::new(Baton::new());
         let mut inner = self.inner.lock();
-        let id = inner.tasks.len();
-        let tie = splitmix64(self.seed ^ (id as u64 + 1));
-        if state == TaskState::Running {
-            assert!(inner.running.is_none(), "two tasks registered Running");
-            inner.running = Some(id);
-        }
-        inner.tasks.push(Task { state, tie, baton: baton.clone() });
+        let tie = splitmix64(self.seed ^ (inner.batons.len() as u64 + 1));
+        let id = inner.table.push(state, tie);
+        inner.batons.push(baton.clone());
         TaskRef { sched: self.clone(), id, baton }
     }
 
@@ -181,32 +211,6 @@ impl Scheduler {
     pub fn register_parked(self: &Arc<Self>) -> TaskRef {
         self.register(TaskState::Parked)
     }
-
-    /// Grant the baton to the Ready task with the minimal
-    /// `(candidate, tie, id)` key, if any. Caller holds the inner lock and
-    /// must have cleared `running` (or be about to re-grant to itself — the
-    /// pick may select the caller; the hand-off is uniform either way).
-    fn pick(&self, inner: &mut Inner) {
-        let _prof = samhita_prof::enter(samhita_prof::Phase::SchedStep);
-        debug_assert!(inner.running.is_none());
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (id, t) in inner.tasks.iter().enumerate() {
-            if let TaskState::Ready(at) = t.state {
-                let key = (at, t.tie, id);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        if let Some((at, _, id)) = best {
-            inner.tasks[id].state = TaskState::Running;
-            inner.running = Some(id);
-            inner.grants += 1;
-            inner.tasks[id].baton.grant(at);
-        }
-        // No Ready task: the machine quiesces until the (suspended) host
-        // resumes, or a free-running newborn parks and later gets woken.
-    }
 }
 
 impl fmt::Debug for Scheduler {
@@ -214,8 +218,8 @@ impl fmt::Debug for Scheduler {
         let inner = self.inner.lock();
         f.debug_struct("Scheduler")
             .field("seed", &self.seed)
-            .field("tasks", &inner.tasks.len())
-            .field("running", &inner.running)
+            .field("tasks", &inner.batons.len())
+            .field("running", &inner.table.running)
             .finish()
     }
 }
@@ -246,9 +250,34 @@ impl TaskRef {
         self.id
     }
 
-    /// First block of a newly spawned OS thread: wait for the first baton
-    /// grant, bind this task to the calling thread (so [`Scheduler::current`]
-    /// finds it), and return the grant's virtual-time candidate.
+    /// Give up the baton, leaving this task in `state`, to the scheduler's
+    /// pick, and — if `wait` — block until granted again.
+    fn give_up(&self, state: TaskState, wait: bool) -> Option<u64> {
+        let next = {
+            let mut inner = self.sched.inner.lock();
+            inner.table.release(self.id, state);
+            let pick = inner.table.pick();
+            if let Some((_, at)) = pick.filter(|&(id, _)| id == self.id) {
+                return Some(at);
+            }
+            inner.grantee(pick)
+        };
+        self.hand_off(next, wait)
+    }
+
+    fn hand_off(&self, next: Option<(Arc<Baton>, u64)>, wait: bool) -> Option<u64> {
+        let granted = hand_off(&self.baton, next.as_ref().map(|(b, at)| (&**b, *at)), wait);
+        assert!(
+            granted.is_some() || !wait,
+            "simulated deadlock: task {} waits for the baton but no task can run",
+            self.id
+        );
+        granted
+    }
+
+    /// First block of a task run on its own OS thread: wait for the first
+    /// baton grant, bind this task to the calling thread (so
+    /// [`Scheduler::current`] finds it), and return the grant's candidate.
     pub fn start(&self) -> u64 {
         let at = self.baton.block();
         CURRENT.with(|c| *c.borrow_mut() = Some(self.clone()));
@@ -261,79 +290,42 @@ impl TaskRef {
     /// re-announce its own candidate when it next yields). Never hands the
     /// baton directly — only the scheduler pick does that.
     pub fn wake_at(&self, t: u64) {
-        let mut inner = self.sched.inner.lock();
-        let task = &mut inner.tasks[self.id];
-        match task.state {
-            TaskState::Parked => task.state = TaskState::Ready(t),
-            TaskState::Ready(c) => task.state = TaskState::Ready(c.min(t)),
-            TaskState::Running | TaskState::Done => {}
-        }
+        self.sched.inner.lock().table.wake(self.id, t);
     }
 
-    /// Give up the baton until virtual time `t` (merged by minimum with any
-    /// pending wake), let the minimal-candidate task run, and block until
-    /// re-granted. Returns the grant's candidate: the caller may consume
-    /// anything with effective time `<=` that value.
+    /// Give up the baton until virtual time `t`, let the minimal-candidate
+    /// task run, and block until re-granted. Returns the grant's candidate:
+    /// the caller may consume anything with effective time `<=` that value.
     pub fn yield_until(&self, t: u64) -> u64 {
-        {
-            let mut inner = self.sched.inner.lock();
-            let task = &mut inner.tasks[self.id];
-            match task.state {
-                TaskState::Running => task.state = TaskState::Ready(t),
-                TaskState::Ready(c) => task.state = TaskState::Ready(c.min(t)),
-                // Still in the birth free-run window (never granted): keep
-                // whatever a racing wake recorded, add our own candidate.
-                TaskState::Parked => task.state = TaskState::Ready(t),
-                TaskState::Done => unreachable!("yield after exit"),
-            }
-            if inner.running == Some(self.id) {
-                self.baton.clear();
-                inner.running = None;
-                self.sched.pick(&mut inner);
-            }
-        }
-        self.baton.block()
+        self.give_up(TaskState::Ready(t), true).expect("a waiting task is granted")
     }
 
     /// Block with no wake-up scheduled; some other task must [`wake_at`]
     /// this one. Returns the grant's candidate time once re-granted.
     ///
-    /// In the birth free-run window (thread spawned but never granted) the
-    /// task keeps a racing wake's Ready state rather than downgrading it.
-    ///
     /// [`wake_at`]: TaskRef::wake_at
     pub fn park(&self) -> u64 {
-        {
-            let mut inner = self.sched.inner.lock();
-            if inner.running == Some(self.id) {
-                self.baton.clear();
-                inner.tasks[self.id].state = TaskState::Parked;
-                inner.running = None;
-                self.sched.pick(&mut inner);
-            }
-            // else: birth window — leave Parked/Ready(racing wake) alone.
-        }
-        self.baton.block()
+        self.give_up(TaskState::Parked, true).expect("a waiting task is granted")
     }
 
-    /// Release the baton *without blocking*: the host calls this before
-    /// joining worker threads so the workers can be scheduled while the
-    /// host is off doing real (non-simulated) work. Pair with [`resume`].
-    ///
-    /// Between `suspend` and `resume` the host must not send or receive on
-    /// the simulated fabric.
+    /// Release the baton for the other tasks. On the thread that drives
+    /// coroutines this runs them until none can run any more; a grant to a
+    /// task on another OS thread returns at once, and the host must not
+    /// touch the simulated fabric until [`resume`].
     ///
     /// [`resume`]: TaskRef::resume
     pub fn suspend(&self) {
-        let mut inner = self.sched.inner.lock();
-        if inner.running == Some(self.id) {
-            self.baton.clear();
-            inner.tasks[self.id].state = TaskState::Parked;
-            inner.running = None;
-            self.sched.pick(&mut inner);
-        } else {
-            inner.tasks[self.id].state = TaskState::Parked;
-        }
+        let next = {
+            let mut inner = self.sched.inner.lock();
+            if inner.table.running != Some(self.id) {
+                inner.table.set(self.id, TaskState::Parked);
+                return;
+            }
+            inner.table.release(self.id, TaskState::Parked);
+            let pick = inner.table.pick();
+            inner.grantee(pick)
+        };
+        self.hand_off(next, false);
     }
 
     /// Re-acquire the baton after a [`suspend`]. Idempotent: a no-op if
@@ -344,51 +336,86 @@ impl TaskRef {
     ///
     /// [`suspend`]: TaskRef::suspend
     pub fn resume(&self) {
-        {
+        let next = {
             let mut inner = self.sched.inner.lock();
-            if inner.running == Some(self.id) {
+            let table = &mut inner.table;
+            if table.running == Some(self.id) {
                 // Discard a grant issued while this task was briefly parked
                 // by `suspend`: it is already running again.
                 self.baton.clear();
                 return;
             }
-            if inner.running.is_none() {
-                let any_ready = inner.tasks.iter().any(|t| matches!(t.state, TaskState::Ready(_)));
-                if !any_ready {
-                    // Quiescent: nothing can be in flight (wakes only come
-                    // from running tasks), so take the baton directly.
-                    inner.tasks[self.id].state = TaskState::Running;
-                    inner.running = Some(self.id);
-                    inner.grants += 1;
-                    return;
-                }
-                inner.tasks[self.id].state = TaskState::Ready(u64::MAX);
-                self.sched.pick(&mut inner);
+            table.set(self.id, TaskState::Ready(u64::MAX));
+            if table.running.is_some() {
+                // Another OS thread holds the baton; its hand-off wakes us.
+                None
             } else {
-                inner.tasks[self.id].state = TaskState::Ready(u64::MAX);
+                // When nothing else is Ready the machine is quiescent (wakes
+                // only come from running tasks) and the pick is this task.
+                match table.pick() {
+                    Some((id, _)) if id == self.id => return,
+                    pick => inner.grantee(pick),
+                }
+            }
+        };
+        match next {
+            Some(_) => {
+                self.hand_off(next, true);
+            }
+            None => {
+                self.baton.block();
             }
         }
-        self.baton.block();
     }
 
     /// Retire this task. If it held the baton the next minimal candidate is
-    /// granted. Unbinds [`Scheduler::current`] when called on the calling
-    /// thread's own task. Safe to call for a task that never started.
+    /// granted (on the coroutine thread, the coroutines run until none can
+    /// run any more). Unbinds [`Scheduler::current`] when called on the
+    /// calling thread's own task. Safe to call for a task that never
+    /// started.
     pub fn exit(&self) {
-        let mut inner = self.sched.inner.lock();
-        inner.tasks[self.id].state = TaskState::Done;
-        if inner.running == Some(self.id) {
-            self.baton.clear();
-            inner.running = None;
-            self.sched.pick(&mut inner);
+        let next = {
+            let mut inner = self.sched.inner.lock();
+            if inner.table.running == Some(self.id) {
+                inner.table.release(self.id, TaskState::Done);
+                let pick = inner.table.pick();
+                inner.grantee(pick)
+            } else {
+                inner.table.set(self.id, TaskState::Done);
+                None
+            }
+        };
+        if next.is_some() {
+            self.hand_off(next, false);
         }
-        drop(inner);
         CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
             if cur.as_ref().is_some_and(|t| t.id == self.id) {
                 *cur = None;
             }
         });
+    }
+
+    /// Retire a finished coroutine's task and pick its successor, returning
+    /// the successor's baton (held alive by the scheduler) and grant time.
+    fn retire(&self) -> Option<(*const Baton, u64)> {
+        let mut inner = self.sched.inner.lock();
+        inner.table.release(self.id, TaskState::Done);
+        let pick = inner.table.pick();
+        pick.map(|(id, at)| (Arc::as_ptr(&inner.batons[id]), at))
+    }
+
+    /// Retire a coroutine that never finished, so nothing can run it again.
+    fn kill(&self) {
+        let mut inner = self.sched.inner.lock();
+        assert_ne!(inner.table.running, Some(self.id), "cannot retire a running coroutine");
+        inner.table.set(self.id, TaskState::Done);
+    }
+
+    /// Whether this task has neither run nor finished.
+    fn is_unstarted(&self) -> bool {
+        let inner = self.sched.inner.lock();
+        matches!(inner.table.states[self.id], TaskState::Ready(_) | TaskState::Parked)
     }
 }
 
@@ -581,5 +608,209 @@ mod tests {
         assert_eq!(t.join().unwrap(), 40);
         host.resume();
         a.wake_at(0); // Done: ignored, must not panic or grant
+    }
+
+    /// Coroutines interleave by virtual time on the host thread, see their
+    /// own task as current, and hand back their values in job order.
+    #[test]
+    fn coroutines_interleave_by_virtual_time() {
+        let sched = Scheduler::new(17);
+        let host = sched.register_running();
+        let log = RefCell::new(Vec::new());
+        let jobs = (0..3u64).map(|i| {
+            let task = sched.register_ready(i);
+            let log = &log;
+            let me = task.id();
+            (task, move || {
+                let cur = Scheduler::current().expect("a coroutine sees its own task");
+                assert_eq!(cur.id(), me);
+                for step in 0..3u64 {
+                    let at = cur.yield_until(10 * step + i);
+                    log.borrow_mut().push((i, at));
+                }
+                i * 100
+            })
+        });
+        let out: Vec<u64> = host.drive(jobs).into_iter().map(|r| r.unwrap().unwrap()).collect();
+        assert_eq!(out, vec![0, 100, 200]);
+        let expected: Vec<(u64, u64)> =
+            (0..3u64).flat_map(|s| (0..3u64).map(move |i| (i, 10 * s + i))).collect();
+        assert_eq!(*log.borrow(), expected);
+        assert!(Scheduler::current().is_none(), "the host context is restored");
+    }
+
+    /// A panicking coroutine hands its payload back; a sibling blocked
+    /// forever comes back as unfinished; the host keeps the baton.
+    #[test]
+    fn drive_returns_panics_and_blocked_tasks() {
+        let sched = Scheduler::new(19);
+        let host = sched.register_running();
+        let a = sched.register_ready(0);
+        let b = sched.register_ready(1);
+        let jobs: Vec<(TaskRef, Box<dyn FnOnce() -> u32>)> = vec![
+            (a, Box::new(|| panic!("boom in a"))),
+            (b, Box::new(|| Scheduler::current().expect("task").park() as u32)),
+        ];
+        let out = host.drive(jobs);
+        let payload = out[0].as_ref().unwrap().as_ref().unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in a"));
+        assert!(out[1].is_none(), "the parked task never finished");
+        // The host holds the baton again and can keep scheduling.
+        let c = sched.register_ready(5);
+        let out = host.drive([(c, || 7)]);
+        assert_eq!(out[0].as_ref().unwrap().as_ref().ok(), Some(&7));
+    }
+
+    /// A spawned coroutine outlives the call that spawned it and runs
+    /// whenever the host hands over the baton.
+    #[test]
+    fn spawned_coroutine_runs_on_host_hand_offs() {
+        let sched = Scheduler::new(23);
+        let host = sched.register_running();
+        let task = sched.register_parked();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let h2 = hits.clone();
+        let t2 = task.clone();
+        let co = task.spawn(move || {
+            let me = Scheduler::current().expect("task");
+            for _ in 0..3 {
+                me.park();
+                h2.fetch_add(1, Ordering::SeqCst);
+            }
+            "done"
+        });
+        for round in 1..=3u64 {
+            t2.wake_at(round);
+            host.yield_until(round * 10);
+            assert_eq!(hits.load(Ordering::SeqCst), round as usize - 1);
+        }
+        assert!(!co.is_finished());
+        t2.wake_at(100);
+        host.suspend();
+        host.resume();
+        assert!(co.is_finished());
+        assert_eq!(co.join().unwrap().unwrap(), "done");
+    }
+
+    /// Waiting for the baton when no task can run is a deadlock, reported
+    /// as a panic instead of a hang.
+    #[test]
+    #[should_panic(expected = "simulated deadlock")]
+    fn waiting_with_nothing_runnable_panics() {
+        let sched = Scheduler::new(31);
+        let host = sched.register_running();
+        let _parked = sched.register_parked();
+        host.park();
+    }
+
+    /// A body may use half a MiB of stack (debug builds spill generously).
+    #[test]
+    fn coroutine_stack_holds_half_a_mib() {
+        let sched = Scheduler::new(29);
+        let host = sched.register_running();
+        let jobs = (0..4).map(|i| {
+            (sched.register_ready(0), move || {
+                let buf = [i as u8; 512 * 1024];
+                std::hint::black_box(&buf).iter().map(|&b| b as u64).sum::<u64>()
+            })
+        });
+        for (i, r) in host.drive(jobs).into_iter().enumerate() {
+            assert_eq!(r.unwrap().unwrap(), i as u64 * 512 * 1024);
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The pick policy as it was before the ready index: a linear scan over
+    /// every task for the minimal `(candidate, tie, id)` key.
+    struct LinearTable {
+        states: Vec<TaskState>,
+        ties: Vec<u64>,
+        running: Option<usize>,
+    }
+
+    impl LinearTable {
+        fn wake(&mut self, id: usize, t: u64) {
+            match self.states[id] {
+                TaskState::Parked => self.states[id] = TaskState::Ready(t),
+                TaskState::Ready(c) => self.states[id] = TaskState::Ready(c.min(t)),
+                _ => {}
+            }
+        }
+
+        fn pick(&mut self) -> Option<(usize, u64)> {
+            let mut best: Option<(u64, u64, usize)> = None;
+            for (id, s) in self.states.iter().enumerate() {
+                if let TaskState::Ready(at) = *s {
+                    let key = (at, self.ties[id], id);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+            }
+            let (at, _, id) = best?;
+            self.states[id] = TaskState::Running;
+            self.running = Some(id);
+            Some((id, at))
+        }
+    }
+
+    proptest! {
+        /// Random register / wake / yield / park / exit / resume sequences
+        /// produce the same grant sequence from the indexed pick as from the
+        /// linear scan.
+        #[test]
+        fn indexed_pick_matches_the_linear_scan(
+            ops in proptest::collection::vec((0u8..7, 0usize..64, 0u64..40), 1..300)
+        ) {
+            let mut fast = Table::new();
+            let mut slow = LinearTable { states: Vec::new(), ties: Vec::new(), running: None };
+            let mut grants = (Vec::new(), Vec::new());
+            for (op, who, t) in ops {
+                let n = slow.states.len();
+                match op {
+                    // Register (ties collide often: only 4 distinct values).
+                    0 | 1 => {
+                        let state = if op == 0 { TaskState::Ready(t) } else { TaskState::Parked };
+                        let tie = splitmix64(who as u64 % 4);
+                        fast.push(state, tie);
+                        slow.states.push(state);
+                        slow.ties.push(tie);
+                    }
+                    2 if n > 0 => {
+                        fast.wake(who % n, t);
+                        slow.wake(who % n, t);
+                    }
+                    // The running task yields, parks or exits; then a pick.
+                    3..=5 => {
+                        if let Some(id) = slow.running {
+                            let state = match op {
+                                3 => TaskState::Ready(t),
+                                4 => TaskState::Parked,
+                                _ => TaskState::Done,
+                            };
+                            fast.release(id, state);
+                            slow.states[id] = state;
+                            slow.running = None;
+                            grants.0.push(fast.pick());
+                            grants.1.push(slow.pick());
+                        }
+                    }
+                    // An idle machine: pick.
+                    _ if slow.running.is_none() => {
+                        grants.0.push(fast.pick());
+                        grants.1.push(slow.pick());
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(&fast.states, &slow.states);
+                prop_assert_eq!(fast.running, slow.running);
+            }
+            prop_assert_eq!(grants.0, grants.1);
+        }
     }
 }

@@ -1,22 +1,20 @@
 //! Endpoints: the receiving half of a fabric attachment.
 //!
-//! An endpoint has two receive disciplines. Unbound (the default), `recv`
-//! blocks on the physical channel and yields messages in arrival order —
-//! correct for single-threaded runs and plain-thread tests. Bound to a
-//! deterministic-scheduler task (see [`Endpoint::bind_task`]), `recv`
-//! instead delivers messages in **virtual-time order**: arrivals are staged
-//! in a min-heap keyed by per-sender-monotone effective delivery time, and
-//! the owning task yields to the scheduler until the earliest staged message
-//! is provably final (no lower-keyed message can still be sent). That makes
+//! Every endpoint a component receives on is bound to that component's
+//! deterministic-scheduler task (see [`Endpoint::bind_task`]), and `recv`
+//! delivers messages in **virtual-time order**: arrivals are staged in a
+//! min-heap keyed by per-sender-monotone effective delivery time, and the
+//! owning task yields to the scheduler until the earliest staged message is
+//! provably final (no lower-keyed message can still be sent). That makes
 //! multi-sender receive order a pure function of virtual time + seed, never
-//! of OS scheduling.
+//! of host scheduling. An unbound endpoint can only be polled with
+//! [`Endpoint::try_recv`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
 use samhita_sched::TaskRef;
 
@@ -55,7 +53,7 @@ impl<M> Ord for DetItem<M> {
     }
 }
 
-/// Deterministic receive state, present only on bound endpoints.
+/// Deterministic receive state, present once the endpoint is bound.
 struct DetState<M> {
     task: TaskRef,
     heap: BinaryHeap<Reverse<DetItem<M>>>,
@@ -164,15 +162,6 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.fabric.bind_task(self.id, task.clone());
     }
 
-    /// Retire the scheduler task bound to this endpoint (no-op when
-    /// unbound). Service loops call this on the way out so the scheduler
-    /// never waits on a task whose loop has returned.
-    pub fn exit_task(&self) {
-        if let Some(st) = self.det.lock().as_ref() {
-            st.task.exit();
-        }
-    }
-
     /// This endpoint's fabric id.
     pub fn id(&self) -> EndpointId {
         self.id
@@ -226,22 +215,17 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.fabric.send_reliable(self.id, dst, now, wire_bytes, class, msg)
     }
 
-    /// Block until a message arrives. Unbound: physical arrival order.
-    /// Bound to a scheduler task: messages are delivered in effective
-    /// virtual-time order, and blocking is a scheduler yield, not an OS
-    /// block — the wait ends when the earliest staged message is *final*,
-    /// i.e. the task was granted at a virtual time `g` with the heap
-    /// minimum's effective time `<= g`, so no yet-unsent message can ever
-    /// sort in front of it.
+    /// Block until a message arrives, delivering in effective virtual-time
+    /// order. Blocking is a scheduler yield: the wait ends when the earliest
+    /// staged message is *final*, i.e. the task was granted at a virtual time
+    /// `g` with the heap minimum's effective time `<= g`, so no yet-unsent
+    /// message can ever sort in front of it.
+    ///
+    /// # Panics
+    /// Panics if the endpoint is not bound to a scheduler task.
     pub fn recv(&self) -> Result<Envelope<M>, SclError> {
         let mut det = self.det.lock();
-        let Some(st) = det.as_mut() else {
-            drop(det);
-            // Unbound (OS runtime): the physical channel exposes no stable
-            // occupancy to observe, so backlog gauges only report under the
-            // deterministic runtime's staged heap below.
-            return self.rx.recv().map_err(|_| SclError::ChannelClosed);
-        };
+        let st = det.as_mut().expect("Endpoint::recv needs an endpoint bound to a scheduler task");
         // Holding `det` across yields/parks is deadlock-free: senders touch
         // only the fabric slot (wake hook) and the physical channel, never
         // this mutex.
@@ -251,13 +235,8 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
                 let eff = top.eff;
                 let granted = st.task.yield_until(eff);
                 st.drain(&self.rx);
-                if let Some(Reverse(top2)) = st.heap.peek() {
-                    if top2.eff <= granted {
-                        let env = st.heap.pop().expect("peeked").0.env;
-                        let backlog = st.heap.len() as u64;
-                        self.sample_backlog(backlog);
-                        return Ok(env);
-                    }
+                if let Some(env) = self.pop_final(st, granted) {
+                    return Ok(env);
                 }
                 // Granted below the minimum (an earlier wake-up raced in and
                 // then monotonization lifted it, or a lower-keyed message
@@ -270,27 +249,31 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         }
     }
 
+    /// Pop the staged minimum if it is final at grant time `granted`.
+    fn pop_final(&self, st: &mut DetState<M>, granted: u64) -> Option<Envelope<M>> {
+        if st.heap.peek().is_some_and(|Reverse(top)| top.eff <= granted) {
+            let env = st.heap.pop().expect("peeked").0.env;
+            self.sample_backlog(st.heap.len() as u64);
+            return Some(env);
+        }
+        None
+    }
+
     /// Block until a message arrives *or* virtual time reaches `deadline`,
     /// whichever is earlier; `Ok(None)` means the deadline fired with no
-    /// deliverable message at or before it. On a bound endpoint the wait is
-    /// a scheduler yield, so the deadline is exact in virtual time — this
-    /// is how a standby manager sleeps until the next lock-lease expiry
-    /// without any wall-clock timer. A staged message due at or before the
-    /// deadline always wins over the deadline itself.
+    /// deliverable message at or before it. The wait is a scheduler yield,
+    /// so the deadline is exact in virtual time — this is how a standby
+    /// manager sleeps until the next lock-lease expiry without any
+    /// wall-clock timer. A staged message due at or before the deadline
+    /// always wins over the deadline itself.
     ///
-    /// Unbound (OS runtime) there is no shared virtual clock to wait on, so
-    /// this degrades to a short wall-clock poll; callers on that runtime
-    /// must treat `Ok(None)` as "nothing yet", not as a virtual instant.
+    /// # Panics
+    /// Panics if the endpoint is not bound to a scheduler task.
     pub fn recv_deadline(&self, deadline: SimTime) -> Result<Option<Envelope<M>>, SclError> {
         let mut det = self.det.lock();
-        let Some(st) = det.as_mut() else {
-            drop(det);
-            return match self.rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(env) => Ok(Some(env)),
-                Err(RecvTimeoutError::Timeout) => Ok(None),
-                Err(RecvTimeoutError::Disconnected) => Err(SclError::ChannelClosed),
-            };
-        };
+        let st = det
+            .as_mut()
+            .expect("Endpoint::recv_deadline needs an endpoint bound to a scheduler task");
         let dl = deadline.as_ns();
         loop {
             st.drain(&self.rx);
@@ -301,13 +284,8 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             };
             let granted = st.task.yield_until(target);
             st.drain(&self.rx);
-            if let Some(Reverse(top2)) = st.heap.peek() {
-                if top2.eff <= granted {
-                    let env = st.heap.pop().expect("peeked").0.env;
-                    let backlog = st.heap.len() as u64;
-                    self.sample_backlog(backlog);
-                    return Ok(Some(env));
-                }
+            if let Some(env) = self.pop_final(st, granted) {
+                return Ok(Some(env));
             }
             if granted >= dl {
                 return Ok(None);
@@ -330,16 +308,6 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
     }
-
-    /// Blocking receive with a *wall-clock* timeout; used by service loops to
-    /// poll for shutdown.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>, SclError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(SclError::ChannelClosed),
-        }
-    }
 }
 
 impl<M> std::fmt::Debug for Endpoint<M> {
@@ -354,24 +322,21 @@ mod tests {
     use crate::topology::Topology;
 
     #[test]
-    fn try_recv_and_timeout() {
+    fn try_recv_polls_an_unbound_endpoint() {
         let fabric = Fabric::<u8>::new(Topology::single_node(1));
         let a = fabric.add_endpoint(NodeId(0));
         let b = fabric.add_endpoint(NodeId(0));
         assert!(b.try_recv().is_none());
-        assert!(b.recv_timeout(Duration::from_millis(1)).unwrap().is_none());
         a.send(b.id(), SimTime::ZERO, 1, MsgClass::Control, 9).unwrap();
         assert_eq!(b.try_recv().unwrap().msg, 9);
     }
 
     #[test]
-    fn recv_deadline_polls_on_unbound_endpoints() {
+    #[should_panic(expected = "bound to a scheduler task")]
+    fn blocking_recv_needs_a_bound_endpoint() {
         let fabric = Fabric::<u8>::new(Topology::single_node(1));
-        let a = fabric.add_endpoint(NodeId(0));
         let b = fabric.add_endpoint(NodeId(0));
-        assert!(b.recv_deadline(SimTime::from_ns(10)).unwrap().is_none());
-        a.send(b.id(), SimTime::ZERO, 1, MsgClass::Control, 4).unwrap();
-        assert_eq!(b.recv_deadline(SimTime::from_ns(10)).unwrap().unwrap().msg, 4);
+        let _ = b.recv();
     }
 
     #[test]

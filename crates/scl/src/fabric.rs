@@ -164,8 +164,8 @@ impl<M: Send + Clone + 'static> Fabric<M> {
 
     /// [`Fabric::send`] bypassing fault injection entirely: used for system
     /// control traffic (shutdown) that must reach even a "crashed" endpoint
-    /// — the crash is simulated, the OS thread behind it is real and must
-    /// still be joined.
+    /// — the crash is simulated, the service loop behind it is real and must
+    /// still run to its end.
     pub fn send_reliable(
         &self,
         src: EndpointId,
@@ -245,7 +245,7 @@ mod tests {
         let expected = now + profiles::ib_qdr().transfer_ns(4096);
         assert_eq!(t, expected);
 
-        let env = b.recv().unwrap();
+        let env = b.try_recv().unwrap();
         assert_eq!(env.msg, "page");
         assert_eq!(env.src, a.id());
         assert_eq!(env.sent_at, now);
@@ -345,7 +345,7 @@ mod tests {
         let (t, fate) = a.send_faulted(b.id(), now, 4096, MsgClass::Data, 1).unwrap();
         assert_eq!(fate, crate::fault::SendFate::Delivered);
         assert_eq!(t, now + profiles::ib_qdr().transfer_ns(4096));
-        let env = b.recv().unwrap();
+        let env = b.try_recv().unwrap();
         assert!(!env.lost);
         assert_eq!(env.deliver_at, t);
         assert_eq!(fabric.stats().total_faults(), 0);
@@ -359,7 +359,7 @@ mod tests {
         fabric.set_fault_plan(crate::fault::FaultPlan::lossy(11, 1.0, 0.0, 0.0, SimTime::ZERO));
         let (t, fate) = a.send_faulted(b.id(), SimTime::ZERO, 64, MsgClass::Sync, 9).unwrap();
         assert!(fate.is_dropped());
-        let env = b.recv().unwrap();
+        let env = b.try_recv().unwrap();
         assert!(env.lost, "a dropped message must still arrive physically, marked lost");
         assert_eq!(env.deliver_at, t);
         let s = fabric.stats();
@@ -378,7 +378,7 @@ mod tests {
         let (t, fate) = a.send_faulted(b.id(), SimTime::ZERO, 64, MsgClass::Update, 3).unwrap();
         assert_eq!(fate, crate::fault::SendFate::Duplicated);
         for _ in 0..2 {
-            let env = b.recv().unwrap();
+            let env = b.try_recv().unwrap();
             assert!(!env.lost);
             assert_eq!(env.deliver_at, t);
             assert_eq!(env.msg, 3);
@@ -396,7 +396,7 @@ mod tests {
         fabric.set_fault_plan(crate::fault::FaultPlan::lossy(11, 0.0, 0.0, 1.0, spike));
         let (t, fate) = a.send_faulted(b.id(), SimTime::ZERO, 64, MsgClass::Data, 5).unwrap();
         assert_eq!(fate, crate::fault::SendFate::Delayed(spike));
-        let env = b.recv().unwrap();
+        let env = b.try_recv().unwrap();
         assert!(!env.lost);
         assert_eq!(env.deliver_at, t + spike, "spike rides on top of the route cost");
         assert_eq!(fabric.stats().delays(MsgClass::Data), 1);
@@ -409,7 +409,7 @@ mod tests {
         let b = fabric.add_endpoint(NodeId(1));
         fabric.set_fault_plan(crate::fault::FaultPlan::lossy(11, 1.0, 0.0, 0.0, SimTime::ZERO));
         a.send_reliable(b.id(), SimTime::ZERO, 8, MsgClass::Control, 1).unwrap();
-        let env = b.recv().unwrap();
+        let env = b.try_recv().unwrap();
         assert!(!env.lost, "control-plane sends must bypass injected faults");
         assert_eq!(fabric.stats().total_faults(), 0);
     }
@@ -422,15 +422,12 @@ mod tests {
         let b = fabric.add_endpoint(NodeId(1));
         let b_id = b.id();
         let h = std::thread::spawn(move || {
-            let mut sum = 0;
-            for _ in 0..100 {
-                sum += b.recv().unwrap().msg;
+            for i in 0..100u64 {
+                a.send(b_id, SimTime::from_ns(i), 8, MsgClass::Data, i).unwrap();
             }
-            sum
         });
-        for i in 0..100u64 {
-            a.send(b_id, SimTime::from_ns(i), 8, MsgClass::Data, i).unwrap();
-        }
-        assert_eq!(h.join().unwrap(), (0..100).sum::<u64>());
+        h.join().unwrap();
+        let sum: u64 = std::iter::from_fn(|| b.try_recv()).map(|env| env.msg).sum();
+        assert_eq!(sum, (0..100).sum::<u64>());
     }
 }

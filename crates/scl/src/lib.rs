@@ -9,7 +9,7 @@
 //! called out in `DESIGN.md`: a **virtual-time interconnect simulator**.
 //!
 //! Components of the DSM (manager, memory servers, compute threads) run as
-//! real OS threads, each owning an [`Endpoint`]. Messages travel over
+//! scheduler tasks, each owning an [`Endpoint`]. Messages travel over
 //! crossbeam channels, but every send is charged against a link cost model
 //! (`latency + per-message overhead + bytes/bandwidth`) derived from the
 //! [`Topology`], and the resulting *virtual* delivery time is stamped on the
@@ -30,7 +30,7 @@
 //! let a = fabric.add_endpoint(0.into());
 //! let b = fabric.add_endpoint(1.into());
 //! let deliver = a.send(b.id(), SimTime::ZERO, 4096, MsgClass::Data, 7).unwrap();
-//! let env = b.recv().unwrap();
+//! let env = b.try_recv().unwrap();
 //! assert_eq!(env.msg, 7);
 //! assert_eq!(env.deliver_at, deliver);
 //! assert!(deliver > SimTime::ZERO);

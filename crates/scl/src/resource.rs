@@ -8,8 +8,9 @@
 //! same server queue up behind each other, and striping allocations across
 //! servers (the paper's third allocation strategy) relieves exactly this.
 //!
-//! Note on approximation: because real threads deliver requests in physical
-//! order, a request with a *later* virtual arrival can occasionally be
+//! Note on approximation: a service handles requests in the order its
+//! endpoint delivers them (effective virtual time, made monotone per
+//! sender), so a request with a *later* virtual arrival can occasionally be
 //! serviced before an earlier one. The reservation is still conservative
 //! (no two service windows overlap); see `DESIGN.md §2` for why this is an
 //! acceptable error for barrier-coupled workloads.

@@ -4,7 +4,7 @@
 //! and hand it back to the [`Tracer`] when they finish. Service loops —
 //! manager, memory servers, fabric observer — record through a
 //! [`SharedTrack`], a mutex-wrapped buffer, because their events are pushed
-//! from whichever OS thread happens to run the loop or call `Fabric::send`.
+//! from whichever task happens to run the loop or call `Fabric::send`.
 //!
 //! Buffers are bounded rings: past `capacity` events the oldest are dropped
 //! and counted, never blocking or reallocating without bound. A trace with
@@ -66,7 +66,7 @@ impl TraceBuf {
     }
 }
 
-/// A [`TraceBuf`] shared between OS threads (service loops, fabric observer).
+/// A [`TraceBuf`] shared between tasks (service loops, fabric observer).
 #[derive(Clone, Debug)]
 pub struct SharedTrack(Arc<Mutex<TraceBuf>>);
 

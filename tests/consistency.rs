@@ -258,8 +258,8 @@ fn condvar_handoff_with_waiting_consumer() {
         } else {
             // Producer, delayed so the consumer actually waits: the compute
             // charge pushes its lock acquisition later in *virtual* time
-            // (what the deterministic runtime orders by), and the physical
-            // sleep does the same in wall time for the OS runtime.
+            // (what the scheduler orders by); the wall-clock sleep must
+            // change nothing.
             ctx.compute(100_000);
             std::thread::sleep(std::time::Duration::from_millis(20));
             ctx.lock(lock);

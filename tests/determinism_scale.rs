@@ -6,8 +6,8 @@
 //!
 //! This is the property DESIGN.md §12 promises: event delivery and every
 //! blocking point (locks, barriers, fetches, flushes) are ordered by
-//! `(virtual_time, seeded tie-break)` alone, so wall-clock scheduling of
-//! the underlying OS threads can never leak into results.
+//! `(virtual_time, seeded tie-break)` alone, so host scheduling can never
+//! leak into results.
 
 mod common;
 
